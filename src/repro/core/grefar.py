@@ -29,6 +29,8 @@ holds for arbitrary (even adversarial) sequences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro._validation import require_non_negative
@@ -138,37 +140,29 @@ class GreFarScheduler(Scheduler):
         self, front: np.ndarray, dc: np.ndarray, capacities: np.ndarray
     ) -> np.ndarray:
         cluster = self.cluster
-        n, j_count = dc.shape
-        route = np.zeros((n, j_count))
         max_route = cluster.max_route_matrix()
-        ingress = cluster.ingress_costs
-        demands = cluster.demands
-        for j in range(j_count):
-            eligible = sorted(
-                i
-                for i in cluster.job_types[j].eligible_dcs
-                if capacities[i] > 0.0
-            )
-
-            def coefficient(i: int, jj: int = j) -> float:
-                return float(
-                    dc[i, jj] - front[jj] + self.v * ingress[i] * demands[jj]
-                )
-
-            # Sites where routing strictly decreases the objective.
-            negatives = [i for i in eligible if coefficient(i) < 0]
-            if not negatives:
-                continue
-            if not self.physical:
-                for i in negatives:
-                    route[i, j] = max_route[i, j]
-                continue
-            budget = float(np.floor(front[j] + 1e-9))
-            # Most-negative coefficient first.
-            for i in sorted(negatives, key=coefficient):
+        coefficients = (dc - front) + (
+            (self.v * cluster.ingress_costs)[:, np.newaxis] * cluster.demands
+        )
+        # Sites where routing strictly decreases the objective.
+        negative = (
+            cluster.eligibility_matrix()
+            & (capacities > 0.0)[:, np.newaxis]
+            & (coefficients < 0)
+        )
+        if not self.physical:
+            return np.where(negative, max_route, 0.0)
+        route = np.zeros(dc.shape)
+        budgets = np.floor(front + 1e-9).tolist()
+        for j in np.flatnonzero(negative.any(axis=0)).tolist():
+            sites = np.flatnonzero(negative[:, j])
+            # Most-negative coefficient first; ties keep site order.
+            sites = sites[np.argsort(coefficients[sites, j], kind="stable")]
+            budget = budgets[j]
+            for i, bound in zip(sites.tolist(), max_route[sites, j].tolist()):
                 if budget <= 0:
                     break
-                take = float(np.floor(min(max_route[i, j], budget) + 1e-9))
+                take = float(math.floor(min(bound, budget) + 1e-9))
                 if take <= 0:
                     continue
                 route[i, j] = take

@@ -10,8 +10,9 @@ cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property, wraps
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +21,18 @@ from repro.model.job import Account, JobType
 from repro.model.server import ServerClass
 
 __all__ = ["Cluster"]
+
+
+def _derived(build: Callable[["Cluster"], np.ndarray]) -> cached_property:
+    """A cached property whose array is built once and made read-only."""
+
+    @wraps(build)
+    def frozen(self: "Cluster") -> np.ndarray:
+        arr = build(self)
+        arr.setflags(write=False)
+        return arr
+
+    return cached_property(frozen)
 
 
 @dataclass(frozen=True)
@@ -121,44 +134,50 @@ class Cluster:
         return len(self.accounts)
 
     # ------------------------------------------------------------------
-    # Derived static vectors
+    # Derived static vectors: each is built on first use, then cached
+    # read-only for the life of the cluster (it is immutable, so they
+    # never go stale).  Pickles carry only the four fields above; a
+    # copy rebuilds its cache the same way.
     # ------------------------------------------------------------------
-    @property
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @_derived
     def speeds(self) -> np.ndarray:
         """Length-``K`` vector of server speeds ``s_k``."""
         return np.array([c.speed for c in self.server_classes])
 
-    @property
+    @_derived
     def active_powers(self) -> np.ndarray:
         """Length-``K`` vector of busy powers ``p_k``."""
         return np.array([c.active_power for c in self.server_classes])
 
-    @property
+    @_derived
     def demands(self) -> np.ndarray:
         """Length-``J`` vector of job demands ``d_j``."""
         return np.array([jt.demand for jt in self.job_types])
 
-    @property
+    @_derived
     def fair_shares(self) -> np.ndarray:
         """Length-``M`` vector of fairness weights ``gamma_m``."""
         return np.array([a.fair_share for a in self.accounts])
 
-    @property
+    @_derived
     def memory_demands(self) -> np.ndarray:
         """Length-``J`` vector of per-job memory holds (footnote 3)."""
         return np.array([jt.memory for jt in self.job_types])
 
-    @property
+    @_derived
     def memory_capacities(self) -> np.ndarray:
         """Length-``N`` vector of site memory capacities (may be ``inf``)."""
         return np.array([dc.memory_capacity for dc in self.datacenters])
 
-    @property
+    @_derived
     def ingress_costs(self) -> np.ndarray:
         """Length-``N`` vector of per-work routing (bandwidth) costs."""
         return np.array([dc.ingress_cost for dc in self.datacenters])
 
-    @property
+    @cached_property
     def has_memory_constraints(self) -> bool:
         """True iff any site memory cap could bind for any job type."""
         return bool(
@@ -166,37 +185,51 @@ class Cluster:
             and np.any(self.memory_demands > 0)
         )
 
-    @property
+    @_derived
     def account_of_type(self) -> np.ndarray:
         """Length-``J`` int vector mapping job type ``j`` to account ``rho_j``."""
         return np.array([jt.account for jt in self.job_types], dtype=np.int64)
 
     def eligibility_matrix(self) -> np.ndarray:
         """``(N, J)`` boolean matrix: ``[i, j]`` is True iff ``i in D_j``."""
+        return self._eligibility
+
+    def account_matrix(self) -> np.ndarray:
+        """``(M, J)`` boolean matrix: ``[m, j]`` is True iff ``rho_j == m``."""
+        return self._accounts
+
+    def max_route_matrix(self) -> np.ndarray:
+        """``(N, J)`` matrix of routing bounds ``r_ij^max`` (0 if ineligible)."""
+        return self._max_route
+
+    def max_service_matrix(self) -> np.ndarray:
+        """``(N, J)`` matrix of service bounds ``h_ij^max`` (0 if ineligible)."""
+        return self._max_service
+
+    @_derived
+    def _eligibility(self) -> np.ndarray:
         mat = np.zeros((self.num_datacenters, self.num_job_types), dtype=bool)
         for j, jt in enumerate(self.job_types):
             for i in jt.eligible_dcs:
                 mat[i, j] = True
         return mat
 
-    def account_matrix(self) -> np.ndarray:
-        """``(M, J)`` boolean matrix: ``[m, j]`` is True iff ``rho_j == m``."""
+    @_derived
+    def _accounts(self) -> np.ndarray:
         mat = np.zeros((self.num_accounts, self.num_job_types), dtype=bool)
         for j, jt in enumerate(self.job_types):
             mat[jt.account, j] = True
         return mat
 
-    def max_route_matrix(self) -> np.ndarray:
-        """``(N, J)`` matrix of routing bounds ``r_ij^max`` (0 if ineligible)."""
-        elig = self.eligibility_matrix()
+    @_derived
+    def _max_route(self) -> np.ndarray:
         bounds = np.array([jt.max_route for jt in self.job_types], dtype=np.float64)
-        return elig * bounds[np.newaxis, :]
+        return self.eligibility_matrix() * bounds[np.newaxis, :]
 
-    def max_service_matrix(self) -> np.ndarray:
-        """``(N, J)`` matrix of service bounds ``h_ij^max`` (0 if ineligible)."""
-        elig = self.eligibility_matrix()
+    @_derived
+    def _max_service(self) -> np.ndarray:
         bounds = np.array([jt.max_service for jt in self.job_types])
-        return elig * bounds[np.newaxis, :]
+        return self.eligibility_matrix() * bounds[np.newaxis, :]
 
     def max_total_capacity(self) -> float:
         """Peak systemwide work capacity per slot with all servers up."""

@@ -364,10 +364,7 @@ class QueueNetwork:
             drained = self._drain_front_ledger(jj, min(total_want, available), t)
             # Allocate the really-drained jobs to sites proportionally to
             # the requested split (exactly r for physical actions).
-            if total_want > _EPS:
-                share = r[:, jj] / total_want
-            else:
-                share = np.zeros(n)
+            share = r[:, jj] / total_want
             for i in range(n):
                 count = drained * share[i]
                 if count <= _EPS:

@@ -6,8 +6,8 @@
 * :func:`solve_projected_gradient` — dependency-light alternative.
 
 All backends consume a :class:`SlotServiceProblem` and return the
-service matrix ``h``; optimal busy counts follow from the site
-:class:`SupplyCurve` (cheapest-servers-first is always optimal).
+service matrix ``h``; optimal busy counts follow from the slot's
+:class:`SupplyTable` (cheapest-servers-first is always optimal).
 
 A backend that cannot produce a solution raises :class:`SolverFailure`
 carrying the slot context, so the supervision layer
@@ -46,7 +46,7 @@ class SolverFailure(RuntimeError):
 # SolverFailure must be defined before the backend imports below — the
 # backend modules import it from this (then partially initialized)
 # package.
-from repro.optimize.capacity import SupplyCurve, build_supply_curves  # noqa: E402
+from repro.optimize.capacity import SupplyTable  # noqa: E402
 from repro.optimize.greedy import solve_greedy  # noqa: E402
 from repro.optimize.lp import solve_lp  # noqa: E402
 from repro.optimize.projected_gradient import solve_projected_gradient  # noqa: E402
@@ -56,8 +56,7 @@ from repro.optimize.slot_problem import SlotServiceProblem  # noqa: E402
 __all__ = [
     "SlotServiceProblem",
     "SolverFailure",
-    "SupplyCurve",
-    "build_supply_curves",
+    "SupplyTable",
     "solve_greedy",
     "solve_lp",
     "solve_projected_gradient",

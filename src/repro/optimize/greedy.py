@@ -10,14 +10,19 @@ threshold rule the paper describes below Algorithm 1 ("jobs are
 processed only when ... electricity prices are sufficiently low",
 with ``W = p_k / s_k``).
 
-The supply side comes from
-:meth:`SlotServiceProblem.marginal_cost_segments`, which merges the
-server-efficiency curve with the electricity pricing tiers — so the
-greedy stays exact under any piecewise-linear convex pricing
+The supply side is the problem's segment rows
+(:attr:`SlotServiceProblem.segment_widths` / ``segment_costs``), which
+merge the server-efficiency curve with the electricity pricing tiers —
+so the greedy stays exact under any piecewise-linear convex pricing
 (Section III-A2), not just the flat per-slot price.
 
-The solver runs in ``O(N (J log J + K log K))`` per slot and is the
-default backend for GreFar with ``beta = 0``.
+The demand values, their order and the supply rows are computed for
+all sites at once in numpy.  The matching itself runs site by site on
+plain Python floats, in the same floating-point order as a scalar walk,
+and only at sites with some demand worth serving; every other row of
+``h`` stays zero.  The solver runs in ``O(N (J log J + S))`` per slot
+(``S`` segments per site) and is the default backend for GreFar with
+``beta = 0``.
 """
 
 from __future__ import annotations
@@ -44,42 +49,56 @@ def solve_greedy(problem: SlotServiceProblem) -> np.ndarray:
         raise ValueError(
             "solve_greedy is exact only for beta = 0; use solve_qp for beta > 0"
         )
-    cluster = problem.cluster
-    n, j_count = problem.h_upper.shape
-    demands = cluster.demands
-    h = np.zeros((n, j_count))
-
-    for i in range(n):
-        # Demand side: value per unit work, most valuable first.
-        values = problem.queue_weights[i] / demands
-        work_wanted = problem.h_upper[i] * demands
-        demand_order = np.argsort(-values, kind="stable")
-        # Supply side: merged (servers x pricing tiers) marginal-cost
-        # curve, cheapest work first.
-        segments = problem.marginal_cost_segments(i)
-        seg_idx = 0
-        seg_remaining = segments[0][0] if segments else 0.0
-
-        for j in demand_order:
-            want = work_wanted[j]
-            if want <= _EPS or values[j] <= _EPS:
-                continue
-            while want > _EPS and seg_idx < len(segments):
-                unit_cost = problem.v * segments[seg_idx][1]
-                if values[j] <= unit_cost + _EPS:
-                    # Cheapest remaining supply is already too expensive
-                    # for this (and all less valuable) demand.
-                    break
-                take = min(want, seg_remaining)
-                h[i, j] += take / demands[j]
-                want -= take
-                seg_remaining -= take
-                if seg_remaining <= _EPS:
-                    seg_idx += 1
-                    seg_remaining = (
-                        segments[seg_idx][0] if seg_idx < len(segments) else 0.0
-                    )
-            if seg_idx >= len(segments):
-                break
-        np.minimum(h[i], problem.h_upper[i], out=h[i])
+    demands = problem.cluster.demands
+    # Demand side: value per unit work, most valuable first.
+    values = problem.queue_weights / demands
+    work_wanted = problem.h_upper * demands
+    h = np.zeros_like(values)
+    live = np.flatnonzero(((values > _EPS) & (work_wanted > _EPS)).any(axis=1))
+    rows = zip(
+        live.tolist(),
+        values[live].tolist(),
+        work_wanted[live].tolist(),
+        np.argsort(-values[live], axis=1, kind="stable").tolist(),
+        problem.segment_widths[live].tolist(),
+        (problem.v * problem.segment_costs[live]).tolist(),
+    )
+    per_job = demands.tolist()
+    for i, site_values, wanted, order, widths, costs in rows:
+        h[i] = _match_site(site_values, wanted, order, widths, costs, per_job)
+    np.minimum(h, problem.h_upper, out=h)
     return h
+
+
+def _match_site(values, wanted, order, widths, costs, demands) -> list:
+    """One site's greedy matching: demand (in *order*) against supply.
+
+    *values* and *wanted* give each job type's value per unit work and
+    its work bound; *widths* and *costs* the site's supply segments,
+    cheapest first (``costs`` already scaled by ``V``; zero widths are
+    padding).  Returns the site's row of ``h``.
+    """
+    served = [0.0] * len(values)
+    segments = [(work, cost) for work, cost in zip(widths, costs) if work > 0.0]
+    seg_idx = 0
+    seg_remaining = segments[0][0] if segments else 0.0
+    for j in order:
+        want = wanted[j]
+        value = values[j]
+        if want <= _EPS or value <= _EPS:
+            continue
+        while want > _EPS and seg_idx < len(segments):
+            if value <= segments[seg_idx][1] + _EPS:
+                # Cheapest remaining supply is already too expensive
+                # for this (and all less valuable) demand.
+                break
+            take = min(want, seg_remaining)
+            served[j] += take / demands[j]
+            want -= take
+            seg_remaining -= take
+            if seg_remaining <= _EPS:
+                seg_idx += 1
+                seg_remaining = segments[seg_idx][0] if seg_idx < len(segments) else 0.0
+        if seg_idx >= len(segments):
+            break
+    return served

@@ -1,10 +1,10 @@
 """Dependency-light projected (sub)gradient backend for the slot problem.
 
 Operates on the service matrix ``h`` alone, pricing capacity through
-the piecewise-linear minimum-power curves, and projects each iterate
-onto the feasible set (box bounds plus per-site capacity via radial
-rescaling, which is exact for the box and conservative for the capacity
-face).  Uses backtracking line search on the true objective, so every
+the slot's piecewise-linear minimum-power supply table, and projects
+each iterate onto the feasible set (box bounds plus per-site capacity
+via radial rescaling, which is exact for the box and conservative for
+the capacity face).  Uses backtracking line search on the true objective, so every
 accepted step strictly improves.
 
 This backend exists for two reasons: it has no scipy dependency in its
@@ -30,12 +30,11 @@ def _subgradient(problem: SlotServiceProblem, h: np.ndarray) -> np.ndarray:
     demands = cluster.demands
     loads = problem.loads(h)
     grad = -problem.queue_weights.copy()
-    for i, curve in enumerate(problem.supply_curves):
-        marginal_power = curve.subgradient(loads[i])
-        marginal_price = problem.pricing.marginal_price(
-            curve.min_power(loads[i]), problem.state.prices[i]
-        )
-        grad[i] += problem.v * marginal_price * marginal_power * demands
+    powers = problem.supply.min_power(loads)
+    marginal_powers = problem.supply.subgradient(loads)
+    for i, price in enumerate(problem.state.prices):
+        marginal_price = problem.pricing.marginal_price(powers[i], price)
+        grad[i] += problem.v * marginal_price * marginal_powers[i] * demands
     if problem.beta > 0:
         fair_grad = problem.fairness.gradient(
             problem.account_work(h), problem.total_resource, cluster.fair_shares

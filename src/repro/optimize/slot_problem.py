@@ -13,12 +13,20 @@ captures one instance of this problem — the queue weights, price and
 availability snapshot, upper bounds and fairness model — and offers the
 objective/feasibility evaluations every backend and every cross-check
 test needs.
+
+The supply side is built once per slot, as arrays over all sites: the
+:class:`~repro.optimize.capacity.SupplyTable` (per-site capacities in
+cost order and site totals) and the merged marginal-cost segment rows
+:attr:`SlotServiceProblem.segment_widths` / ``segment_costs``.  Every
+evaluation reads those arrays and runs across sites in numpy; within a
+site the floating-point order is that of a scalar walk along its curve,
+so results do not depend on the number of sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,7 +37,7 @@ from repro.model.action import Action
 from repro.model.cluster import Cluster
 from repro.model.pricing import LinearPricing, PricingModel
 from repro.model.state import ClusterState
-from repro.optimize.capacity import SupplyCurve, build_supply_curves
+from repro.optimize.capacity import SupplyTable
 
 __all__ = ["BETA_ZERO_TOL", "SlotServiceProblem"]
 
@@ -65,6 +73,15 @@ class SlotServiceProblem:
         paper's linear ``cost = price * energy``.  Any convex pricing
         keeps the slot problem convex; piecewise-linear pricing (linear
         or tiered) keeps the greedy backend exact.
+
+    Attributes
+    ----------
+    supply:
+        The slot's :class:`~repro.optimize.capacity.SupplyTable`.
+    segment_widths, segment_costs:
+        ``(N, S)`` merged marginal-cost rows (server classes split at
+        pricing tiers): each segment's work and its cost per unit work,
+        cheapest first; zero widths are padding.
     """
 
     cluster: Cluster
@@ -92,17 +109,15 @@ class SlotServiceProblem:
         require_non_negative(self.beta, "beta")
         elig = self.cluster.eligibility_matrix()
         self.h_upper = np.where(elig, np.clip(self.h_upper, 0.0, None), 0.0)
-        self._curves: List[SupplyCurve] = build_supply_curves(self.cluster, self.state)
+        self.supply = SupplyTable.build(self.cluster, self.state)
+        self.segment_widths, self.segment_costs = self.supply.cost_segments(
+            self.pricing, self.state.prices
+        )
         self._total_resource = self.state.total_resource(self.cluster)
 
     # ------------------------------------------------------------------
     # Static views
     # ------------------------------------------------------------------
-    @property
-    def supply_curves(self) -> List[SupplyCurve]:
-        """Per-site minimum-power supply curves for this slot."""
-        return self._curves
-
     @property
     def has_fairness(self) -> bool:
         """True when the fairness pull materially affects the objective.
@@ -120,11 +135,11 @@ class SlotServiceProblem:
 
     def site_capacity(self, i: int) -> float:
         """Work capacity of site ``i`` this slot."""
-        return self._curves[i].total_capacity
+        return float(self.supply.totals[i])
 
     def site_capacities(self) -> np.ndarray:
-        """All site capacities (length ``N``)."""
-        return np.array([c.total_capacity for c in self._curves])
+        """All site capacities (length ``N``, read-only)."""
+        return self.supply.totals
 
     # ------------------------------------------------------------------
     # Objective pieces
@@ -140,53 +155,31 @@ class SlotServiceProblem:
     def energy_cost(self, h: np.ndarray) -> float:
         """Minimum electricity cost ``e(t)`` to serve *h*.
 
-        Uses the supply-curve minimum power per site and the configured
+        Uses the supply-table minimum power per site and the configured
         pricing model; cheapest-servers-first remains optimal for any
         increasing pricing because cost is increasing in energy.
         """
-        loads = self.loads(h)
+        powers = self.supply.min_power(self.loads(h))
         return float(
             sum(
-                self.pricing.total_cost(
-                    self._curves[i].min_power(loads[i]), self.state.prices[i]
-                )
-                for i in range(len(self._curves))
+                self.pricing.total_cost(power, price)
+                for power, price in zip(powers, self.state.prices)
             )
         )
 
-    def marginal_cost_segments(self, i: int) -> List[tuple]:
+    def marginal_cost_segments(self, i: int) -> List[Tuple[float, float]]:
         """Merged marginal-cost curve of site *i*: ``[(work, cost/work)]``.
 
-        Walks the supply segments (work capacity at power-per-work
-        ``w``) and the pricing tiers (energy width at cost-per-energy
-        ``u``) together: a stretch of work is charged ``w * u`` per unit
-        until either the supply segment or the tier is exhausted.  Both
-        component curves are non-decreasing, so the merged curve is a
-        valid convex marginal-cost curve and greedy matching against it
-        is exact.
+        Row ``i`` of :attr:`segment_widths` and :attr:`segment_costs`
+        without its padding (see :meth:`SupplyTable.cost_segments`).
         """
-        segments = []
-        tiers = list(self.pricing.tiers(self.state.prices[i]))
-        tier_idx = 0
-        tier_energy_left = tiers[0][0] if tiers else float("inf")
-        for cap, unit_power in self._curves[i].marginal_segments():
-            work_left = cap
-            while work_left > _EPS and tier_idx < len(tiers):
-                unit_cost = tiers[tier_idx][1]
-                if unit_power <= _EPS:
-                    work_in_tier = work_left
-                else:
-                    work_in_tier = min(work_left, tier_energy_left / unit_power)
-                if work_in_tier > _EPS:
-                    segments.append((work_in_tier, unit_power * unit_cost))
-                work_left -= work_in_tier
-                tier_energy_left -= work_in_tier * unit_power
-                if tier_energy_left <= _EPS:
-                    tier_idx += 1
-                    tier_energy_left = (
-                        tiers[tier_idx][0] if tier_idx < len(tiers) else 0.0
-                    )
-        return segments
+        return [
+            (work, cost)
+            for work, cost in zip(
+                self.segment_widths[i].tolist(), self.segment_costs[i].tolist()
+            )
+            if work > 0.0
+        ]
 
     def account_work(self, h: np.ndarray) -> np.ndarray:
         """Per-account work ``r_m(t)`` implied by service matrix *h*."""
@@ -216,15 +209,7 @@ class SlotServiceProblem:
 
     def busy_for(self, h: np.ndarray) -> np.ndarray:
         """Optimal busy-server matrix ``b`` for service matrix *h*."""
-        loads = self.loads(h)
-        speeds = self.cluster.speeds
-        k = self.cluster.num_server_classes
-        return np.stack(
-            [
-                self._curves[i].busy_counts(loads[i], k, speeds)
-                for i in range(len(self._curves))
-            ]
-        )
+        return self.supply.busy_counts(self.loads(h))
 
     def action_for(self, h: np.ndarray, route: np.ndarray | None = None) -> Action:
         """Package a service matrix (plus optional routing) as an action."""
@@ -242,7 +227,7 @@ class SlotServiceProblem:
         if np.any(h < -tol) or np.any(h > self.h_upper + tol):
             return False
         loads = self.loads(h)
-        caps = self.site_capacities()
+        caps = self.supply.totals
         if not np.all(loads <= caps * (1.0 + tol) + tol):
             return False
         mem_caps = self.cluster.memory_capacities
@@ -255,16 +240,17 @@ class SlotServiceProblem:
     def clip_feasible(self, h: np.ndarray) -> np.ndarray:
         """Project *h* to the box; rescale per-site to fit capacity/memory."""
         out = np.clip(h, 0.0, self.h_upper)
-        caps = self.site_capacities()
+        caps = self.supply.totals
         mem_caps = self.cluster.memory_capacities
         loads = self.loads(out)
         memory = self.memory_used(out)
-        for i in range(out.shape[0]):
-            scale = 1.0
-            if loads[i] > caps[i] + _EPS and loads[i] > 0:
-                scale = min(scale, caps[i] / loads[i])
-            if np.isfinite(mem_caps[i]) and memory[i] > mem_caps[i] + _EPS and memory[i] > 0:
-                scale = min(scale, mem_caps[i] / memory[i])
-            if scale < 1.0:
-                out[i] *= scale
+        scale = np.ones(out.shape[0])
+        over = (loads > caps + _EPS) & (loads > 0)
+        scale[over] = np.minimum(1.0, caps[over] / loads[over])
+        over_memory = np.isfinite(mem_caps) & (memory > mem_caps + _EPS) & (memory > 0)
+        scale[over_memory] = np.minimum(
+            scale[over_memory], mem_caps[over_memory] / memory[over_memory]
+        )
+        shrink = scale < 1.0
+        out[shrink] *= scale[shrink, np.newaxis]
         return out

@@ -374,7 +374,8 @@ class SupervisedSolver:
         h = problem.clip_feasible(raw)
         if not problem.is_feasible(h, tol=policy.feasibility_tol):
             return _Failure("infeasible", "clipped solution violates constraints")
-        if not np.allclose(problem.clip_feasible(h), h, rtol=0.0, atol=1e-9):
+        drift = np.max(np.abs(problem.clip_feasible(h) - h), initial=0.0)
+        if not drift <= 1e-9:
             return _Failure("clip-unstable", "clip_feasible is not idempotent here")
         return h
 

@@ -250,15 +250,8 @@ class RecedingHorizonScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def _busy_for(self, h: np.ndarray, state: ClusterState) -> np.ndarray:
-        from repro.optimize.capacity import build_supply_curves
+        from repro.optimize.capacity import SupplyTable
 
-        curves = build_supply_curves(self.cluster, state)
+        supply = SupplyTable.build(self.cluster, state)
         loads = h @ self.cluster.demands
-        k = self.cluster.num_server_classes
-        speeds = self.cluster.speeds
-        return np.stack(
-            [
-                curves[i].busy_counts(min(loads[i], curves[i].total_capacity), k, speeds)
-                for i in range(self.cluster.num_datacenters)
-            ]
-        )
+        return supply.busy_counts(np.minimum(loads, supply.totals))

@@ -145,3 +145,42 @@ def test_cli_fresh_process_kill_and_resume(tmp_path):
     assert json.loads(resumed.stdout) == json.loads(fresh.stdout)
     # Completion cleared the snapshot.
     assert not checkpoints[0].exists()
+
+
+# ----------------------------------------------------------------------
+# Snapshots written by an older build
+# ----------------------------------------------------------------------
+#: A ckpt-v1 snapshot of WIDE24_SPEC killed after slot 20, written
+#: before the cluster cached its derived arrays and before the slot
+#: supply side became a table.  Its pickled cluster carries no cache.
+LEGACY_SNAPSHOT = REPO / "tests" / "data" / "ckpt_v1_wide24_slot20.ckpt"
+
+WIDE24_SPEC = RunSpec(
+    scenario=ScenarioSpec(
+        kind="wide", horizon=40, seed=11, params={"num_datacenters": 24}
+    ),
+    scheduler="grefar",
+    scheduler_kwargs={"v": 5.0},
+)
+
+
+def test_resume_from_legacy_snapshot_bit_identical(tmp_path):
+    import shutil
+
+    from repro.obs.registry import stats_registry
+
+    ckpt_dir = tmp_path / "ckpt"
+    snapshot = checkpoint_path(cache_key(WIDE24_SPEC), ckpt_dir)
+    snapshot.parent.mkdir(parents=True)
+    shutil.copyfile(LEGACY_SNAPSHOT, snapshot)
+
+    (baseline,) = run_many([WIDE24_SPEC], cache=ResultCache(tmp_path / "cache_a"))
+    stats = stats_registry()
+    loads = stats.counter("resilient.checkpoint.loads")
+    resumed = resume_from_checkpoint(
+        WIDE24_SPEC, cache=ResultCache(tmp_path / "cache_b"), directory=str(ckpt_dir)
+    )
+    # The snapshot was really used, not silently replaced by a fresh run.
+    assert stats.counter("resilient.checkpoint.loads") == loads + 1
+    assert not snapshot.exists()
+    assert resumed.summary.as_dict() == baseline.summary.as_dict()

@@ -119,3 +119,83 @@ class TestDerived:
         text = c.describe()
         assert "d0" in text and "d1" in text
         assert "m0" in text and "m1" in text
+
+
+DERIVED_PROPERTIES = (
+    "speeds",
+    "active_powers",
+    "demands",
+    "fair_shares",
+    "memory_demands",
+    "memory_capacities",
+    "ingress_costs",
+    "account_of_type",
+)
+DERIVED_METHODS = (
+    "eligibility_matrix",
+    "account_matrix",
+    "max_route_matrix",
+    "max_service_matrix",
+)
+
+
+def _derived_arrays(cluster):
+    arrays = {name: getattr(cluster, name) for name in DERIVED_PROPERTIES}
+    arrays.update({name: getattr(cluster, name)() for name in DERIVED_METHODS})
+    return arrays
+
+
+class TestDerivedCache:
+    def _cluster(self):
+        return Cluster(_classes(), _dcs(), _types(), _accounts())
+
+    def test_computed_once(self):
+        c = self._cluster()
+        first, second = _derived_arrays(c), _derived_arrays(c)
+        for name, arr in first.items():
+            assert second[name] is arr, name
+
+    def test_in_place_write_raises(self):
+        for name, arr in _derived_arrays(self._cluster()).items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+
+    def test_copies_are_writable(self):
+        for arr in _derived_arrays(self._cluster()).values():
+            copy = arr.copy()
+            copy[...] = 0
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        c = self._cluster()
+        before = _derived_arrays(c)
+        restored = pickle.loads(pickle.dumps(c))
+        assert restored.describe() == c.describe()
+        after = _derived_arrays(restored)
+        for name, arr in before.items():
+            assert after[name].tolist() == arr.tolist(), name
+            assert after[name].dtype == arr.dtype, name
+            with pytest.raises(ValueError, match="read-only"):
+                after[name][...] = 0
+
+    def test_pickle_carries_only_the_fields(self):
+        import pickle
+
+        c = self._cluster()
+        fresh = pickle.dumps(c)
+        _derived_arrays(c)
+        assert pickle.dumps(c) == fresh
+
+    def test_deepcopy_rebuilds_cache(self):
+        import copy
+
+        c = self._cluster()
+        before = _derived_arrays(c)
+        clone = copy.deepcopy(c)
+        after = _derived_arrays(clone)
+        for name, arr in before.items():
+            assert after[name] is not arr
+            assert after[name].tolist() == arr.tolist()

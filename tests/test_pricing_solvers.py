@@ -42,7 +42,12 @@ class TestMergedSegments:
         problem = _problem(LinearPricing(), seed=1)
         for i in range(2):
             merged = problem.marginal_cost_segments(i)
-            base = problem.supply_curves[i].marginal_segments()
+            supply = problem.supply
+            base = [
+                (c, u)
+                for c, u in zip(supply.capacities[i], supply.unit_powers)
+                if c > 0
+            ]
             price = problem.state.prices[i]
             assert len(merged) == len(base)
             for (w_m, c_m), (w_b, u_b) in zip(merged, base):

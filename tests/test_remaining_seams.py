@@ -6,23 +6,25 @@ import pytest
 from repro.core.grefar import GreFarScheduler
 from repro.model.action import Action
 from repro.model.state import ClusterState
-from repro.optimize.capacity import build_supply_curves
+from repro.model.pricing import LinearPricing
+from repro.optimize.capacity import SupplyTable
 from repro.schedulers.base import route_greedily, service_upper_bounds
 from repro.simulation.simulator import Simulator
 
 
 class TestSupplyCurveErrors:
     def test_busy_counts_rejects_over_capacity(self, cluster, state):
-        curve = build_supply_curves(cluster, state)[0]
+        table = SupplyTable.build(cluster, state)
         with pytest.raises(ValueError, match="exceeds site total"):
-            curve.busy_counts(curve.total_capacity * 2, 2, cluster.speeds)
+            table.busy_counts(np.array([table.totals[0] * 2, 0.0]))
 
     def test_empty_site_curve(self, cluster):
         state = ClusterState(np.zeros((2, 2)), [0.4, 0.5])
-        curve = build_supply_curves(cluster, state)[0]
-        assert curve.total_capacity == 0.0
-        assert curve.min_power(0.0) == 0.0
-        assert curve.marginal_segments() == []
+        table = SupplyTable.build(cluster, state)
+        assert table.totals[0] == 0.0
+        assert table.min_power(np.zeros(2))[0] == 0.0
+        widths, _ = table.cost_segments(LinearPricing(), state.prices)
+        assert not np.any(widths[0] > 0)
 
 
 class TestRouteGreedilyPrefer:
