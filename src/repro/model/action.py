@@ -123,9 +123,9 @@ class Action:
         computing resource consumed by account ``m``'s jobs this slot.
         """
         per_type = self.serve.sum(axis=0) * cluster.demands
-        acc = np.zeros(cluster.num_accounts)
-        np.add.at(acc, cluster.account_of_type, per_type)
-        return acc
+        return np.bincount(
+            cluster.account_of_type, weights=per_type, minlength=cluster.num_accounts
+        )
 
     # ------------------------------------------------------------------
     # Validation

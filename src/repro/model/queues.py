@@ -23,6 +23,15 @@ centers, and finally new arrivals ``a(t)`` join the central queue.  A
 batch routed at slot ``t`` therefore cannot be served before ``t + 1``,
 so the "Always" baseline measures an average data center delay of one
 slot, matching Section VI-B3.
+
+A slot touches only the ledgers that move.  Service visits the
+(site, type) cells with ``h_ij > 1e-12``, routing appends a batch only
+at the sites that receive more than that, and the scalar queues are
+updated as whole arrays.  The cells are visited in row-major order (for
+routing: type by type, sites ascending), the order of a full scan, and
+each cell's ledger arithmetic is unchanged, so every queue, ledger
+batch and delay statistic is bit-identical to scanning all ``N x J``
+cells (``tests/scalar_oracle.py`` keeps that scan as the reference).
 """
 
 from __future__ import annotations
@@ -250,24 +259,34 @@ class QueueNetwork:
     # Dynamics
     # ------------------------------------------------------------------
     def clip_to_content(self, action: Action) -> Action:
-        """Return a *physical* copy of *action*: never overdraw a queue.
+        """Return a *physical* version of *action*: never overdraw a queue.
 
-        Routing of each type is reduced (largest senders last) so the
-        total routed does not exceed ``Q_j(t)``, keeping integrality.
-        Service is clipped to the data center queue contents.
+        Service is clipped to the data center queue contents.  Where the
+        total routed of a type exceeds ``Q_j(t)``, its routing is cut
+        down until it fits, keeping integrality: the largest senders are
+        trimmed first, and on a tie the lower site index goes first (a
+        stable sort), so the result never depends on the sort kernel.
+        When nothing needs clipping, *action* itself is returned; it
+        already passed every :class:`Action` check on these arrays.
         """
+        h = np.minimum(action.serve, self._dc)
+        # Row sums of the transposed copy add each type's column in the
+        # same order as ``route[:, j].sum()``; ``route.sum(axis=0)``
+        # would not.
+        excess = np.ascontiguousarray(action.route.T).sum(axis=1) - np.floor(
+            self._front + 1e-9
+        )
+        over = np.flatnonzero(excess > 0)
+        if not over.size and np.array_equal(h, action.serve):
+            return action
         r = np.array(action.route)
-        h = np.minimum(np.array(action.serve), self._dc)
-        for j in range(self._cluster.num_job_types):
-            excess = r[:, j].sum() - np.floor(self._front[j] + 1e-9)
-            if excess <= 0:
-                continue
-            order = np.argsort(-r[:, j])
-            for i in order:
-                take = min(r[i, j], excess)
-                r[i, j] -= take
-                excess -= take
-                if excess <= 0:
+        for j, left in zip(over.tolist(), excess[over].tolist()):
+            column = r[:, j]
+            for i in np.argsort(-column, kind="stable").tolist():
+                take = min(column[i], left)
+                column[i] -= take
+                left -= take
+                if left <= 0:
                     break
         return Action(r, h, action.busy)
 
@@ -328,6 +347,8 @@ class QueueNetwork:
             raise ValueError(
                 f"arrivals must have shape {self._front.shape}, got {arrivals.shape}"
             )
+        if not np.all(np.isfinite(arrivals)):
+            raise ValueError("arrivals must be finite")
         if np.any(arrivals < 0):
             raise ValueError("arrivals must be non-negative")
 
@@ -341,36 +362,31 @@ class QueueNetwork:
     # ------------------------------------------------------------------
     def _apply_service(self, h: np.ndarray, t: int) -> np.ndarray:
         served = np.zeros_like(self._dc)
-        n, j = self._dc.shape
-        for i in range(n):
-            for jj in range(j):
-                want = h[i, jj]
-                if want <= _EPS:
-                    continue
-                got = self._drain_ledger(self._dc_ledger[(i, jj)], want, t, i, jj)
-                served[i, jj] = got
+        # Only the cells being served touch a ledger; ``nonzero`` lists
+        # them row-major, the (i, j) order of a full scan.
+        rows, cols = np.nonzero(h > _EPS)
+        for i, jj, want in zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()):
+            served[i, jj] = self._drain_ledger(self._dc_ledger[(i, jj)], want, t, i, jj)
         # Scalar update follows eq. (13)'s max[. , 0] exactly.
         self._dc = np.maximum(self._dc - h, 0.0)
         return served
 
     def _apply_routing(self, r: np.ndarray, t: int) -> np.ndarray:
         routed = np.zeros_like(r)
-        n, j = r.shape
-        for jj in range(j):
+        for jj in range(r.shape[1]):
             total_want = r[:, jj].sum()
             if total_want <= _EPS:
                 continue
             available = self._front[jj]
             drained = self._drain_front_ledger(jj, min(total_want, available), t)
             # Allocate the really-drained jobs to sites proportionally to
-            # the requested split (exactly r for physical actions).
-            share = r[:, jj] / total_want
-            for i in range(n):
-                count = drained * share[i]
-                if count <= _EPS:
-                    continue
+            # the requested split (exactly r for physical actions); only
+            # sites that receive jobs get a ledger batch, in site order.
+            counts = drained * (r[:, jj] / total_want)
+            sites = np.flatnonzero(counts > _EPS)
+            for i, count in zip(sites.tolist(), counts[sites].tolist()):
                 self._dc_ledger[(i, jj)].append([float(t), count])
-                routed[i, jj] = count
+            routed[sites, jj] = counts[sites]
         # Scalar updates follow eqs. (12)-(13) exactly (including any
         # phantom jobs a non-physical action would create).
         self._front = np.maximum(self._front - r.sum(axis=0), 0.0)

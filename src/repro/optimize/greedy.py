@@ -19,10 +19,13 @@ so the greedy stays exact under any piecewise-linear convex pricing
 The demand values, their order and the supply rows are computed for
 all sites at once in numpy.  The matching itself runs site by site on
 plain Python floats, in the same floating-point order as a scalar walk,
-and only at sites with some demand worth serving; every other row of
-``h`` stays zero.  The solver runs in ``O(N (J log J + S))`` per slot
-(``S`` segments per site) and is the default backend for GreFar with
-``beta = 0``.
+and only at sites where some job type's value beats ``V`` times the
+cost of the site's first positive-width segment (plus the ``1e-12``
+tolerance).  At every other site the walk would stop at that segment
+and serve nothing, so its row of ``h`` stays zero and skipping it is
+exact.  The numpy part costs ``O(N (J log J + S))`` per slot (``S``
+segments per site); the Python part scales with the sites that serve.
+This is the default backend for GreFar with ``beta = 0``.
 """
 
 from __future__ import annotations
@@ -54,18 +57,26 @@ def solve_greedy(problem: SlotServiceProblem) -> np.ndarray:
     values = problem.queue_weights / demands
     work_wanted = problem.h_upper * demands
     h = np.zeros_like(values)
-    live = np.flatnonzero(((values > _EPS) & (work_wanted > _EPS)).any(axis=1))
+    widths = problem.segment_widths
+    costs = problem.v * problem.segment_costs
+    # Visit only sites where some demand beats the cheapest supplied
+    # segment (rows are in increasing cost, so that is the first one of
+    # positive width); at every other site _match_site serves nothing.
+    floor = np.where(widths > 0.0, costs, np.inf).min(axis=1, initial=np.inf) + _EPS
+    live = np.flatnonzero(
+        ((values > _EPS) & (work_wanted > _EPS) & (values > floor[:, None])).any(axis=1)
+    )
     rows = zip(
         live.tolist(),
         values[live].tolist(),
         work_wanted[live].tolist(),
         np.argsort(-values[live], axis=1, kind="stable").tolist(),
-        problem.segment_widths[live].tolist(),
-        (problem.v * problem.segment_costs[live]).tolist(),
+        widths[live].tolist(),
+        costs[live].tolist(),
     )
     per_job = demands.tolist()
-    for i, site_values, wanted, order, widths, costs in rows:
-        h[i] = _match_site(site_values, wanted, order, widths, costs, per_job)
+    for i, site_values, wanted, order, site_widths, site_costs in rows:
+        h[i] = _match_site(site_values, wanted, order, site_widths, site_costs, per_job)
     np.minimum(h, problem.h_upper, out=h)
     return h
 

@@ -74,9 +74,7 @@ def solve_qp(
 
     def account_work(h: np.ndarray) -> np.ndarray:
         per_type = h.sum(axis=0) * demands
-        acc = np.zeros(cluster.num_accounts)
-        np.add.at(acc, account_of_type, per_type)
-        return acc
+        return np.bincount(account_of_type, weights=per_type, minlength=cluster.num_accounts)
 
     def energy_cost(b: np.ndarray) -> float:
         draws = b @ powers

@@ -184,9 +184,11 @@ class SlotServiceProblem:
     def account_work(self, h: np.ndarray) -> np.ndarray:
         """Per-account work ``r_m(t)`` implied by service matrix *h*."""
         per_type = h.sum(axis=0) * self.cluster.demands
-        acc = np.zeros(self.cluster.num_accounts)
-        np.add.at(acc, self.cluster.account_of_type, per_type)
-        return acc
+        return np.bincount(
+            self.cluster.account_of_type,
+            weights=per_type,
+            minlength=self.cluster.num_accounts,
+        )
 
     def fairness_score(self, h: np.ndarray) -> float:
         """Fairness ``f(t)`` of the allocation implied by *h*."""

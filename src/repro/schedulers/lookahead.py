@@ -256,8 +256,9 @@ class LookaheadPolicy:
             total = 0.0
             for t in range(t_len):
                 per_type = h[t].sum(axis=0) * demands
-                acc = np.zeros(cluster.num_accounts)
-                np.add.at(acc, account_of_type, per_type)
+                acc = np.bincount(
+                    account_of_type, weights=per_type, minlength=cluster.num_accounts
+                )
                 total -= self.fairness.score(acc, totals[t], shares)
             return total
 
@@ -268,8 +269,9 @@ class LookaheadPolicy:
             gh = np.zeros((t_len, n, j_count))
             for t in range(t_len):
                 per_type = h[t].sum(axis=0) * demands
-                acc = np.zeros(cluster.num_accounts)
-                np.add.at(acc, account_of_type, per_type)
+                acc = np.bincount(
+                    account_of_type, weights=per_type, minlength=cluster.num_accounts
+                )
                 fg = self.fairness.gradient(acc, totals[t], shares)
                 gh[t] = -(fg[account_of_type] * demands)[np.newaxis, :]
             grad[:num_h] = gh.ravel()

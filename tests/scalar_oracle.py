@@ -1,13 +1,19 @@
-"""Scalar per-site reference for the slot supply side (tests only).
+"""Scalar full-scan references for the slot hot path (tests only).
 
 The library builds each slot's supply side once as whole arrays
 (:class:`repro.optimize.capacity.SupplyTable`) and vectorizes across
 sites.  This module keeps the straightforward per-site formulation it
 replaced: one :class:`SupplyCurve` object per data center walked class
 by class, the per-site merge of supply segments with pricing tiers, and
-the greedy matching on numpy scalars.  ``test_supply_table_oracle``
-checks the vectorized code against it with ``==``, so any change to the
-floating-point order of a site's arithmetic shows up as a failure.
+the greedy matching on numpy scalars at every site.
+``test_supply_table_oracle`` checks the vectorized code against it with
+``==``, so any change to the floating-point order of a site's
+arithmetic shows up as a failure.
+
+:class:`DenseQueueNetwork` does the same for the queue ledgers: it
+scans every (site, type) cell for service and every site for routing,
+and clips on full copies; ``test_queue_oracle`` checks the sparse
+:class:`~repro.model.queues.QueueNetwork` against it with ``==``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+
+from repro.model.action import Action
+from repro.model.queues import QueueNetwork
 
 _EPS = 1e-12
 _MERGE_EPS = 1e-9
@@ -175,3 +184,60 @@ class ScalarSupply:
                     break
             np.minimum(h[i], problem.h_upper[i], out=h[i])
         return h
+
+
+class DenseQueueNetwork(QueueNetwork):
+    """A :class:`QueueNetwork` that visits every cell on every slot.
+
+    The clip trims the largest senders first, ties in site order (a
+    stable sort), and always returns a new :class:`Action`.
+    """
+
+    def clip_to_content(self, action):
+        r = np.array(action.route)
+        h = np.minimum(np.array(action.serve), self._dc)
+        for j in range(self.cluster.num_job_types):
+            excess = r[:, j].sum() - np.floor(self._front[j] + 1e-9)
+            if excess <= 0:
+                continue
+            order = np.argsort(-r[:, j], kind="stable")
+            for i in order:
+                take = min(r[i, j], excess)
+                r[i, j] -= take
+                excess -= take
+                if excess <= 0:
+                    break
+        return Action(r, h, action.busy)
+
+    def _apply_service(self, h, t):
+        served = np.zeros_like(self._dc)
+        n, j = self._dc.shape
+        for i in range(n):
+            for jj in range(j):
+                want = h[i, jj]
+                if want <= _EPS:
+                    continue
+                got = self._drain_ledger(self._dc_ledger[(i, jj)], want, t, i, jj)
+                served[i, jj] = got
+        self._dc = np.maximum(self._dc - h, 0.0)
+        return served
+
+    def _apply_routing(self, r, t):
+        routed = np.zeros_like(r)
+        n, j = r.shape
+        for jj in range(j):
+            total_want = r[:, jj].sum()
+            if total_want <= _EPS:
+                continue
+            available = self._front[jj]
+            drained = self._drain_front_ledger(jj, min(total_want, available), t)
+            share = r[:, jj] / total_want
+            for i in range(n):
+                count = drained * share[i]
+                if count <= _EPS:
+                    continue
+                self._dc_ledger[(i, jj)].append([float(t), count])
+                routed[i, jj] = count
+        self._front = np.maximum(self._front - r.sum(axis=0), 0.0)
+        self._dc = self._dc + r
+        return routed

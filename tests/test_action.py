@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.action import Action
+from repro.model.cluster import Cluster
+from repro.model.datacenter import DataCenter
+from repro.model.job import Account, JobType
+from repro.model.server import ServerClass
+from repro.model.state import ClusterState
+from repro.optimize.slot_problem import SlotServiceProblem
 
 
 def _zeros(cluster):
@@ -75,6 +83,50 @@ class TestDerived:
         # type 0 -> account 0: 3 jobs x demand 1; type 1 -> account 1:
         # 3 jobs x demand 2.
         np.testing.assert_allclose(a.account_work(cluster), [3.0, 6.0])
+
+
+@st.composite
+def _account_work_cases(draw):
+    n = draw(st.integers(1, 5))
+    num_accounts = draw(st.integers(1, 4))
+    num_types = draw(st.integers(1, 9))
+    cluster = Cluster(
+        [ServerClass(name="class", speed=1.0, active_power=1.0)],
+        [DataCenter(name=f"dc{i}", max_servers=[10.0]) for i in range(n)],
+        [
+            JobType(
+                name=f"type{j}",
+                demand=draw(st.floats(0.1, 5.0)),
+                eligible_dcs=list(range(n)),
+                account=draw(st.integers(0, num_accounts - 1)),
+            )
+            for j in range(num_types)
+        ],
+        [Account(name=f"acct{m}", fair_share=1.0 / num_accounts) for m in range(num_accounts)],
+    )
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-6))
+    serve = np.array([[draw(cell) for _ in range(num_types)] for _ in range(n)])
+    return cluster, serve
+
+
+@settings(max_examples=200, deadline=None)
+@given(_account_work_cases())
+def test_account_work_equals_scatter_add(case):
+    """Per-account totals add each account's types in index order from
+    0.0, exactly as ``np.add.at`` into a zero vector does."""
+    cluster, serve = case
+    expected = np.zeros(cluster.num_accounts)
+    np.add.at(expected, cluster.account_of_type, serve.sum(axis=0) * cluster.demands)
+    action = Action(np.zeros_like(serve), serve, np.zeros((serve.shape[0], 1)))
+    problem = SlotServiceProblem(
+        cluster=cluster,
+        state=ClusterState(np.full((serve.shape[0], 1), 10.0), [1.0] * serve.shape[0]),
+        queue_weights=np.zeros_like(serve),
+        h_upper=np.full_like(serve, 10.0),
+        v=1.0,
+    )
+    assert action.account_work(cluster).tolist() == expected.tolist()
+    assert problem.account_work(serve).tolist() == expected.tolist()
 
 
 class TestValidate:

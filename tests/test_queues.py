@@ -5,6 +5,7 @@ import pytest
 
 from repro.model.action import Action
 from repro.model.queues import DelayStats, QueueNetwork
+from repro.scenarios import wide_cluster
 
 
 def _action(cluster, route=None, serve=None):
@@ -26,6 +27,16 @@ class TestArrivals:
         q = QueueNetwork(cluster)
         with pytest.raises(ValueError):
             q.step(_action(cluster), np.array([-1.0, 0.0]), t=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_arrivals(self, cluster, bad):
+        q = QueueNetwork(cluster)
+        q.step(_action(cluster), np.array([2.0, 1.0]), t=0)
+        with pytest.raises(ValueError, match="finite"):
+            q.step(_action(cluster), np.array([bad, 1.0]), t=1)
+        # Nothing was applied: the scalar queues and ledgers still agree.
+        assert q.front.tolist() == [2.0, 1.0]
+        assert q.front_ledger_totals().tolist() == [2.0, 1.0]
 
     def test_rejects_wrong_shape(self, cluster):
         q = QueueNetwork(cluster)
@@ -198,6 +209,38 @@ class TestHelpers:
         clipped = q.clip_to_content(_action(cluster, serve=serve))
         assert clipped.serve[0, 0] == pytest.approx(2.0)
         assert clipped.serve[1, 1] == pytest.approx(0.0)
+
+    def test_clip_keeps_an_action_that_fits(self, cluster):
+        q = QueueNetwork(cluster)
+        q.step(_action(cluster), np.array([3.0, 0.0]), t=0)
+        route = np.zeros((2, 2))
+        route[:, 0] = [1.0, 2.0]
+        action = _action(cluster, route=route)
+        assert q.clip_to_content(action) is action
+
+    def test_clip_trims_largest_senders_first(self):
+        cluster = wide_cluster(num_datacenters=3)
+        arrivals = np.zeros(cluster.num_job_types)
+        arrivals[0] = 2.0
+        q = QueueNetwork(cluster)
+        q.step(_action(cluster), arrivals, t=0)
+        route = np.zeros((3, cluster.num_job_types))
+        route[:, 0] = [1.0, 3.0, 2.0]
+        clipped = q.clip_to_content(_action(cluster, route=route))
+        assert clipped.route[:, 0].tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("num_sites", [3, 17, 64])
+    def test_clip_trims_tied_senders_in_site_order(self, num_sites):
+        """Equal senders are trimmed lowest site index first, at any width."""
+        cluster = wide_cluster(num_datacenters=num_sites)
+        arrivals = np.zeros(cluster.num_job_types)
+        arrivals[0] = num_sites - 2.0
+        q = QueueNetwork(cluster)
+        q.step(_action(cluster), arrivals, t=0)
+        route = np.zeros((num_sites, cluster.num_job_types))
+        route[:, 0] = 1.0
+        clipped = q.clip_to_content(_action(cluster, route=route))
+        assert clipped.route[:, 0].tolist() == [0.0, 0.0] + [1.0] * (num_sites - 2)
 
 
 class TestDelayStats:

@@ -84,15 +84,24 @@ def problems(draw):
         for j in range(j_count)
     ]
     cluster = Cluster(classes, datacenters, job_types, [Account(name="all", fair_share=1.0)])
+    all_dark = draw(st.integers(0, 7)) == 0  # no segments at all under tiers
     availability = [
         _row(
             draw,
             k,
             st.one_of(st.integers(0, 20).map(float), st.floats(0.0, MAX_SERVERS)),
-            draw(st.booleans()) and draw(st.booleans()),  # ~1 site in 4 is dark
+            all_dark or (draw(st.booleans()) and draw(st.booleans())),  # ~1 site in 4 is dark
         )
         for _ in range(n)
     ]
+    # At some sites the cheapest class has no servers, so the site's
+    # first positive-width segment is not column 0.
+    cheapest = int(
+        np.argsort([c.active_power / c.speed for c in classes], kind="stable")[0]
+    )
+    for row in availability:
+        if draw(st.booleans()):
+            row[cheapest] = 0.0
     prices = draw(st.lists(PRICES, min_size=n, max_size=n))
     queue_weights = [
         _row(draw, j_count, st.floats(0.0, 50.0), draw(st.booleans()) and draw(st.booleans()))
@@ -135,6 +144,62 @@ def test_supply_table_matches_scalar_oracle(problem, random):
     for serve in (np.zeros_like(h), h, greedy):
         assert problem.energy_cost(serve) == oracle.energy_cost(serve)
         _assert_same(problem.busy_for(serve), oracle.busy_for(serve))
+
+
+TIERED = TieredPricing(boundaries=(3.0, 8.0), multipliers=(1.0, 2.0, 5.0))
+
+
+def _one_type_problem(availability, weights, pricing):
+    """One job type of demand 1 at each site, so ``q_i`` is its value."""
+    n = len(availability)
+    classes = [
+        ServerClass(name="cheap", speed=2.0, active_power=0.5),
+        ServerClass(name="dear", speed=1.0, active_power=1.0),
+    ]
+    cluster = Cluster(
+        classes,
+        [DataCenter(name=f"dc{i}", max_servers=[MAX_SERVERS] * 2) for i in range(n)],
+        [JobType(name="type", demand=1.0, eligible_dcs=list(range(n)), account=0)],
+        [Account(name="all", fair_share=1.0)],
+    )
+    return SlotServiceProblem(
+        cluster=cluster,
+        state=ClusterState(np.array(availability), [0.37] * n),
+        queue_weights=np.array(weights)[:, None],
+        h_upper=np.full((n, 1), 4.0),
+        v=2.0,
+        pricing=pricing,
+    )
+
+
+@pytest.mark.parametrize("pricing", [LinearPricing(), TIERED])
+def test_greedy_threshold_at_first_supplied_segment(pricing):
+    """Demand worth exactly ``V * cost + _EPS`` of a site's first
+    positive-width segment is not served; one ulp more is.  The cheapest
+    class has no servers, so under linear pricing that segment is not
+    column 0."""
+    availability = [[0.0, 5.0]] * 3
+    rows = _one_type_problem(availability, [0.0] * 3, pricing)
+    first = int(np.flatnonzero(rows.segment_widths[0] > 0.0)[0])
+    assert first == (1 if isinstance(pricing, LinearPricing) else 0)
+    boundary = rows.v * rows.segment_costs[0, first] + 1e-12
+    problem = _one_type_problem(
+        availability, [boundary, float(np.nextafter(boundary, np.inf)), 0.0], pricing
+    )
+    greedy = solve_greedy(problem)
+    _assert_same(greedy, ScalarSupply(problem).greedy())
+    assert greedy[0, 0] == 0.0
+    assert greedy[1, 0] > 0.0
+
+
+def test_greedy_without_any_segments():
+    """Every site dark under tiered pricing: the segment rows have zero
+    columns and nothing is served."""
+    problem = _one_type_problem([[0.0, 0.0]] * 4, [5.0, 1.0, 0.0, 9.0], TIERED)
+    assert problem.segment_widths.shape == (4, 0)
+    greedy = solve_greedy(problem)
+    _assert_same(greedy, ScalarSupply(problem).greedy())
+    assert not greedy.any()
 
 
 @settings(max_examples=200, deadline=None)
